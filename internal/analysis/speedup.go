@@ -29,26 +29,45 @@ type RoutineStats struct {
 // TrialRoutineStats computes per-routine statistics for one trial and
 // metric, entirely inside the database.
 func TrialRoutineStats(s *core.DataSession, trialID int64, metric string) (map[string]RoutineStats, error) {
-	rows, err := s.Conn().Query(`
-		SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive)
+	stats, _, _, err := trialStats(s, trialID, metric)
+	return stats, err
+}
+
+// trialStatsSQL is the per-trial statistics query: one row per routine
+// with its exclusive-time MIN/AVG/MAX/STDDEV and its largest inclusive
+// value. Parameters: trial id, metric name.
+const trialStatsSQL = `
+		SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive),
+			MAX(p.inclusive)
 		FROM interval_event e
 		JOIN interval_location_profile p ON p.interval_event = e.id
 		JOIN metric m ON p.metric = m.id
 		WHERE e.trial = ? AND m.name = ?
-		GROUP BY e.name`, trialID, metric)
+		GROUP BY e.name`
+
+// trialStats runs TrialRoutineStats' grouped query and also returns the
+// trial's application wall time: the maximum inclusive value of any
+// (event, thread) pair, taken as the largest per-routine MAX. hasWall is
+// false when no row carries an inclusive value.
+func trialStats(s *core.DataSession, trialID int64, metric string) (stats map[string]RoutineStats, wall float64, hasWall bool, err error) {
+	rows, err := s.Conn().Query(trialStatsSQL, trialID, metric)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer rows.Close()
-	out := make(map[string]RoutineStats)
+	stats = make(map[string]RoutineStats)
 	for rows.Next() {
 		var r RoutineStats
-		if err := rows.Scan(&r.Name, &r.Min, &r.Mean, &r.Max, &r.StdDev); err != nil {
-			return nil, err
+		var inclusive any
+		if err := rows.Scan(&r.Name, &r.Min, &r.Mean, &r.Max, &r.StdDev, &inclusive); err != nil {
+			return nil, 0, false, err
 		}
-		out[r.Name] = r
+		stats[r.Name] = r
+		if f, ok := inclusive.(float64); ok && (!hasWall || f > wall) {
+			wall, hasWall = f, true
+		}
 	}
-	return out, rows.Err()
+	return stats, wall, hasWall, rows.Err()
 }
 
 // SpeedupPoint is one routine's speedup at one processor count. Mean is
@@ -100,33 +119,6 @@ func trialProcs(t *core.Trial) int {
 	return n * c * th
 }
 
-// appWallTime returns the trial's application wall time: the maximum
-// inclusive value of any (event, thread) pair.
-func appWallTime(s *core.DataSession, trialID int64, metric string) (float64, error) {
-	rows, err := s.Conn().Query(`
-		SELECT MAX(p.inclusive)
-		FROM interval_event e
-		JOIN interval_location_profile p ON p.interval_event = e.id
-		JOIN metric m ON p.metric = m.id
-		WHERE e.trial = ? AND m.name = ?`, trialID, metric)
-	if err != nil {
-		return 0, err
-	}
-	defer rows.Close()
-	if !rows.Next() {
-		return 0, fmt.Errorf("analysis: trial %d has no %s data", trialID, metric)
-	}
-	var v any
-	if err := rows.Scan(&v); err != nil {
-		return 0, err
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("analysis: trial %d has no %s data", trialID, metric)
-	}
-	return f, nil
-}
-
 // Speedup runs the §5.2 study over a set of trials of the same application
 // at different processor counts. Trials are ordered by processor count;
 // the smallest is the baseline. Routines missing from any trial are
@@ -149,24 +141,31 @@ func speedup(s *core.DataSession, trials []*core.Trial, metric string) (*Speedup
 		return nil, fmt.Errorf("analysis: trial %q has no processor count", ordered[0].Name)
 	}
 
-	study := &SpeedupStudy{Metric: metric, BaseProcs: trialProcs(ordered[0])}
 	perTrial := make([]map[string]RoutineStats, len(ordered))
+	appTime := make([]float64, len(ordered))
 	for i, t := range ordered {
-		stats, err := TrialRoutineStats(s, t.ID, metric)
+		stats, wall, hasWall, err := trialStats(s, t.ID, metric)
 		if err != nil {
 			return nil, err
 		}
 		if len(stats) == 0 {
 			return nil, fmt.Errorf("analysis: trial %q has no %s profile data", t.Name, metric)
 		}
-		perTrial[i] = stats
+		if !hasWall {
+			return nil, fmt.Errorf("analysis: trial %d has no %s data", t.ID, metric)
+		}
+		perTrial[i], appTime[i] = stats, wall
+	}
+	return buildStudy(metric, ordered, perTrial, appTime), nil
+}
+
+// buildStudy derives the speedup study from each ordered trial's routine
+// statistics and application wall time.
+func buildStudy(metric string, ordered []*core.Trial, perTrial []map[string]RoutineStats, appTime []float64) *SpeedupStudy {
+	study := &SpeedupStudy{Metric: metric, BaseProcs: trialProcs(ordered[0]), AppTime: appTime}
+	for _, t := range ordered {
 		study.Procs = append(study.Procs, trialProcs(t))
 		study.TrialIDs = append(study.TrialIDs, t.ID)
-		wall, err := appWallTime(s, t.ID, metric)
-		if err != nil {
-			return nil, err
-		}
-		study.AppTime = append(study.AppTime, wall)
 	}
 
 	// Application speedup and efficiency.
@@ -228,5 +227,5 @@ func speedup(s *core.DataSession, trials []*core.Trial, metric string) (*Speedup
 		}
 		study.Routines = append(study.Routines, rs)
 	}
-	return study, nil
+	return study
 }

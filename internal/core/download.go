@@ -244,7 +244,8 @@ func (s *DataSession) summary(table, metricName string) ([]SummaryRow, error) {
 		return nil, err
 	}
 	// interval_event is the base table so its trial index drives the plan;
-	// the summary and metric tables hash-join onto it.
+	// the summary table joins onto it through its event index and metric
+	// through its primary key, so no other trial's rows are read.
 	rows, err := s.conn.Query(`
 		SELECT e.id, e.name, e.group_name, t.inclusive, t.exclusive,
 		       t.call, t.subroutines, t.exclusive_percentage, t.inclusive_percentage

@@ -603,6 +603,18 @@ func (tx *Tx) LookupEq(table, column string, v Value) ([]int, bool) {
 	return ix.lookup(v), true
 }
 
+// EqIndex returns the single-column index (primary key, hash or B-tree)
+// LookupEq would probe for column, or nil when LookupEq would report no
+// index. A caller probing it many times in one transaction resolves it
+// once here and calls Index.Lookup per probe.
+func (tx *Tx) EqIndex(table, column string) *Index {
+	t := tx.db.tables[strings.ToLower(table)]
+	if t == nil {
+		return nil
+	}
+	return t.indexOn(column, false)
+}
+
 // LookupEqMulti returns the slots matching an equality on several columns
 // at once, using a composite hash index whose column set matches exactly.
 // The second result reports whether such an index existed.

@@ -171,6 +171,12 @@ func (ix *Index) lookup(v Value) []int {
 	return ix.tree.get(v)
 }
 
+// Lookup returns the slots whose single indexed column equals v, as
+// LookupEq does: nil for NULL and for composite indexes. The slice aliases
+// index storage; callers must not modify it and may read it only while
+// holding the transaction that obtained the index.
+func (ix *Index) Lookup(v Value) []int { return ix.lookup(v) }
+
 // lookupVals returns the slots matching a full key tuple.
 func (ix *Index) lookupVals(vals []Value) []int {
 	if ix.multi != nil {

@@ -344,7 +344,9 @@ func (t *Table) lookupPK(v Value) int {
 }
 
 // indexOn returns an index (including the primary-key index) over the named
-// column, preferring ordered indexes when ranged is set.
+// column, preferring ordered indexes when ranged is set. The primary key
+// wins; among secondary indexes the smallest name does, so the choice does
+// not depend on map order.
 func (t *Table) indexOn(column string, ranged bool) *Index {
 	var best *Index
 	consider := func(ix *Index) {
@@ -354,7 +356,7 @@ func (t *Table) indexOn(column string, ranged bool) *Index {
 		if ranged && !ix.Ranged() {
 			return
 		}
-		if best == nil {
+		if best == nil || (best != t.pk && ix.Name < best.Name) {
 			best = ix
 		}
 	}

@@ -11,8 +11,9 @@ import (
 // Explain describes, without executing the query, the access path the
 // executor would take: the base-table strategy (index point lookup, index
 // range scan, IN-union, or full scan) and the algorithm for each join
-// (hash join on its equality key, or nested loop). The result is a single
-// "plan" column with one row per step.
+// (index join probing the right table's index, hash join on its equality
+// key, or nested loop; see planJoin). The result is a single "plan" column
+// with one row per step.
 func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSet, error) {
 	rs := &ResultSet{Cols: []string{"plan"}}
 	add := func(format string, args ...any) {
@@ -45,16 +46,7 @@ func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSe
 		if err := bindRef(tx, cols, join.TableRef, params); err != nil {
 			return nil, err
 		}
-		kind := "inner"
-		if join.Kind == sqlparse.LeftJoin {
-			kind = "left"
-		}
-		if l, r, ok := findHashKey(cols, leftWidth, join.On); ok {
-			add("%s hash join %s (build %s, key cols %d=%d)",
-				kind, describeRef(join.TableRef), join.Table, l, r)
-		} else {
-			add("%s nested-loop join %s", kind, describeRef(join.TableRef))
-		}
+		add("%s", planJoin(tx, cols, leftWidth, join).describe(join))
 	}
 	if st.Where != nil {
 		add("filter: WHERE re-checked per row")
@@ -92,7 +84,8 @@ func ExplainAnalyzeOpts(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value,
 	}
 
 	sp := &obs.Span{Kind: "query", Start: now()}
-	if _, err := QueryOpts(tx, st, params, sp, opts); err != nil {
+	q := &query{tx: tx, st: st, params: params, cols: newColmap(), sp: sp, opts: opts}
+	if _, err := q.run(); err != nil {
 		return nil, err
 	}
 	sp.Total = since(sp.Start)
@@ -106,6 +99,9 @@ func ExplainAnalyzeOpts(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value,
 		sp.Plan, sp.Execute, sp.Materialize, sp.Total)
 	add("actual: rows scanned=%d, rows returned=%d (%s)",
 		sp.RowsScanned, sp.RowsReturned, access)
+	for _, j := range q.indexJoins {
+		add("actual: index join %s: probes=%d, rows fetched=%d", j.ref, j.probes, j.fetched)
+	}
 	return rs, nil
 }
 
@@ -149,33 +145,4 @@ func explainAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, param
 		return "full scan", nil
 	}
 	return fmt.Sprintf("index access (%d candidate rows)", len(slots)), nil
-}
-
-// findHashKey returns the positions of an equality pair usable for a hash
-// join: leftPos resolves inside the already-bound prefix, rightPos inside
-// the newly-bound table. It mirrors the detection in execJoin.
-func findHashKey(cols *colmap, leftWidth int, on sqlparse.Expr) (leftPos, rightPos int, ok bool) {
-	for _, c := range splitAnd(on) {
-		b, isBin := c.(*sqlparse.Binary)
-		if !isBin || b.Op != sqlparse.OpEq {
-			continue
-		}
-		lc, lok := b.L.(*sqlparse.ColRef)
-		rc, rok := b.R.(*sqlparse.ColRef)
-		if !lok || !rok {
-			continue
-		}
-		lp, lerr := cols.resolve(lc)
-		rp, rerr := cols.resolve(rc)
-		if lerr != nil || rerr != nil {
-			continue
-		}
-		switch {
-		case lp < leftWidth && rp >= leftWidth:
-			return lp, rp - leftWidth, true
-		case rp < leftWidth && lp >= leftWidth:
-			return rp, lp - leftWidth, true
-		}
-	}
-	return 0, 0, false
 }

@@ -1,9 +1,9 @@
 // Package sqlexec plans and executes parsed SQL statements against the
 // reldb storage engine. It implements the query side of the PerfDMF
 // database substrate: expression evaluation with SQL three-valued logic,
-// index selection for equality and range predicates, hash joins, grouping
-// with the aggregate set PerfDMF's analysis layer relies on
-// (COUNT/SUM/AVG/MIN/MAX/STDDEV), ORDER BY, DISTINCT and LIMIT/OFFSET.
+// index selection for equality and range predicates, index and hash
+// joins, grouping with the aggregate set PerfDMF's analysis layer relies
+// on (COUNT/SUM/AVG/MIN/MAX/STDDEV), ORDER BY, DISTINCT and LIMIT/OFFSET.
 package sqlexec
 
 import (
@@ -63,6 +63,9 @@ type colmap struct {
 	// unqualified maps "column" to a position, or -2 when ambiguous.
 	unqualified map[string]int
 	width       int
+	// types holds each position's declared column type; TNull marks a
+	// column without one (derived-table and catalog bindings).
+	types []reldb.Type
 }
 
 func newColmap() *colmap {
@@ -86,6 +89,9 @@ func (m *colmap) bind(alias, table string, schema *reldb.Schema) {
 		}
 	}
 	m.width += len(schema.Columns)
+	for _, c := range schema.Columns {
+		m.types = append(m.types, c.Type)
+	}
 }
 
 // bindNames binds a derived table's result columns under alias.
@@ -101,6 +107,7 @@ func (m *colmap) bindNames(alias string, names []string) {
 		}
 	}
 	m.width += len(names)
+	m.types = append(m.types, make([]reldb.Type, len(names))...)
 }
 
 // resolve returns the position of a column reference.

@@ -5,7 +5,9 @@ import "perfdmf/internal/obs"
 // Executor-level metrics, resolved once. Access-path counters move on every
 // base-table access decision; the row counters track scanned (fetched and
 // examined) vs. returned (surviving projection and LIMIT) rows, the ratio
-// that tells whether indexes are doing their job. The parallel counters
+// that tells whether indexes are doing their job. The join counters move
+// once per executed join step that probed an index or built a hash table
+// (nested-loop joins count in neither). The parallel counters
 // report how often the partitioned scan and chunked aggregation paths
 // engage, and the plan-cache counters how often statement execution skipped
 // the parser (hits are recorded by godbc's per-connection statement cache;
@@ -15,6 +17,9 @@ var (
 	mFullScan     = obs.Default.Counter("sqlexec_full_scan_total")
 	mRowsScanned  = obs.Default.Counter("sqlexec_rows_scanned_total")
 	mRowsReturned = obs.Default.Counter("sqlexec_rows_returned_total")
+
+	mIndexJoins = obs.Default.Counter("sqlexec_index_join_total")
+	mHashJoins  = obs.Default.Counter("sqlexec_hash_join_total")
 
 	mParallelScans  = obs.Default.Counter("sqlexec_parallel_scans_total")
 	mParallelAggs   = obs.Default.Counter("sqlexec_parallel_aggs_total")

@@ -37,6 +37,8 @@ type query struct {
 	polled  int64 // row-loop iterations since the last cancellation check
 	par     int   // widest worker fan-out this execution used (0 = serial)
 
+	indexJoins []indexJoinStat // per executed index join, for EXPLAIN ANALYZE
+
 	// Columnar execution state (see columnar.go). When tryColumnarAggregate
 	// handles the query, scan, filter and aggregation are already done and
 	// the materialize section reuses the stashed results.
@@ -330,139 +332,6 @@ func (q *query) liveRows(table string) int {
 		return 0
 	}
 	return t.Len()
-}
-
-// execJoin joins the accumulated rows with one more table. When the ON
-// clause contains an equality between an already-bound column and a column
-// of the new table, a hash join is used; the complete ON expression is
-// still evaluated on each candidate pair.
-func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, error) {
-	leftWidth := q.cols.width
-	derived, err := q.bind(join.TableRef)
-	if err != nil {
-		return nil, err
-	}
-	rightWidth := q.cols.width - leftWidth
-
-	var rightRows []reldb.Row
-	if join.Sub != nil || virtualRef(join.TableRef) {
-		rightRows = derived
-	} else {
-		var scanErr error
-		q.tx.Scan(join.Table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by bind
-			if scanErr = q.pollEvery(); scanErr != nil {
-				return false
-			}
-			rightRows = append(rightRows, row)
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
-	}
-	q.scanned += int64(len(rightRows))
-
-	// Find a hashable equality: leftPos (in accumulated row) vs rightPos
-	// (in the new table's row).
-	leftPos, rightPos := -1, -1
-	if l, r, ok := findHashKey(q.cols, leftWidth, join.On); ok {
-		leftPos, rightPos = l, r
-	}
-
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
-	onMatch := func(l, r reldb.Row) (bool, error) {
-		if join.On == nil {
-			return true, nil
-		}
-		combined := make(reldb.Row, 0, leftWidth+rightWidth)
-		combined = append(combined, l...)
-		combined = append(combined, r...)
-		ev.row = combined
-		v, err := eval(join.On, ev)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v), nil
-	}
-
-	var result []reldb.Row
-	emit := func(l, r reldb.Row) {
-		combined := make(reldb.Row, leftWidth+rightWidth)
-		copy(combined, l)
-		if r != nil {
-			copy(combined[leftWidth:], r)
-		}
-		result = append(result, combined)
-	}
-
-	if leftPos >= 0 {
-		// Hash join.
-		ht := make(map[reldb.Value][]reldb.Row, len(rightRows))
-		for _, r := range rightRows {
-			if err := q.pollEvery(); err != nil {
-				return nil, err
-			}
-			k := r[rightPos]
-			if k.IsNull() {
-				continue
-			}
-			ht[k] = append(ht[k], r)
-		}
-		for _, l := range rows {
-			if err := q.pollEvery(); err != nil {
-				return nil, err
-			}
-			matched := false
-			var key reldb.Value
-			if leftPos < len(l) {
-				key = l[leftPos]
-			}
-			if !key.IsNull() {
-				for _, r := range ht[key] {
-					if err := q.pollEvery(); err != nil {
-						return nil, err
-					}
-					ok, err := onMatch(l, r)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						emit(l, r)
-					}
-				}
-			}
-			if !matched && join.Kind == sqlparse.LeftJoin {
-				emit(l, nil)
-			}
-		}
-		return result, nil
-	}
-
-	// Nested-loop join.
-	for _, l := range rows {
-		if err := q.pollEvery(); err != nil {
-			return nil, err
-		}
-		matched := false
-		for _, r := range rightRows {
-			if err := q.pollEvery(); err != nil {
-				return nil, err
-			}
-			ok, err := onMatch(l, r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				matched = true
-				emit(l, r)
-			}
-		}
-		if !matched && join.Kind == sqlparse.LeftJoin {
-			emit(l, nil)
-		}
-	}
-	return result, nil
 }
 
 // expandItems replaces * items with explicit column references and derives
